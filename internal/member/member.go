@@ -112,8 +112,8 @@ type Options struct {
 	// SilenceTimeout closes the session with ErrLeaderSilent when no frame
 	// arrives from the leader for this long. Pair it with leader-side
 	// heartbeats (group.Liveness.HeartbeatInterval) comfortably shorter
-	// than this timeout, or an idle but healthy leader looks dead. Zero
-	// disables the watchdog.
+	// than this timeout, or an idle but healthy leader looks dead. The same
+	// budget bounds the join or resume handshake. Zero disables the watch.
 	SilenceTimeout time.Duration
 }
 
@@ -124,9 +124,10 @@ type Member struct {
 	conn   transport.Conn
 	engine *core.MemberSession
 
-	silence  time.Duration
-	lastRecv atomic.Int64 // UnixNano of the most recent received frame
-	silenced atomic.Bool  // the watchdog closed the connection
+	// watch closes conn when the leader stays silent past
+	// Options.SilenceTimeout: from the first handshake send, and from the
+	// established session's last received frame. Nil when disabled.
+	watch *transport.Silence
 
 	mu       sync.Mutex
 	groupKey crypto.Key
@@ -184,7 +185,7 @@ func Join(conn transport.Conn, user, leader string, longTerm crypto.Key) (*Membe
 }
 
 // JoinOpts is Join with liveness options.
-func JoinOpts(conn transport.Conn, user, leader string, longTerm crypto.Key, opts Options) (*Member, error) {
+func JoinOpts(conn transport.Conn, user, leader string, longTerm crypto.Key, opts Options) (m *Member, err error) {
 	engine, err := core.NewMemberSession(user, leader, longTerm)
 	if err != nil {
 		return nil, err
@@ -195,21 +196,15 @@ func JoinOpts(conn transport.Conn, user, leader string, longTerm crypto.Key, opt
 	}
 	// The silence timeout also bounds the handshake itself: over a lossy
 	// link a lost join frame would otherwise block Recv below forever,
-	// since the three-message join has no retransmission. Closing the conn
+	// since the three-message join has no retransmission. Handshake frames
+	// do not touch the watch, so the bound is absolute; closing the conn
 	// fails the join so a supervisor can redial.
-	hsDone := make(chan struct{})
-	defer close(hsDone)
-	if opts.SilenceTimeout > 0 {
-		go func() {
-			t := time.NewTimer(opts.SilenceTimeout)
-			defer t.Stop()
-			select {
-			case <-hsDone:
-			case <-t.C:
-				conn.Close()
-			}
-		}()
-	}
+	watch := transport.NewSilence(opts.SilenceTimeout, func() { conn.Close() })
+	defer func() {
+		if err != nil {
+			watch.Stop()
+		}
+	}()
 	if err := conn.Send(initReq); err != nil {
 		return nil, fmt.Errorf("member: send join: %w", err)
 	}
@@ -230,54 +225,34 @@ func JoinOpts(conn transport.Conn, user, leader string, longTerm crypto.Key, opt
 			}
 		}
 	}
+	m = newMember(conn, engine, user, leader, watch)
+	m.start()
+	return m, nil
+}
 
-	m := &Member{
+// newMember builds the runtime around an established engine session.
+func newMember(conn transport.Conn, engine *core.MemberSession, user, leader string, watch *transport.Silence) *Member {
+	return &Member{
 		name:       user,
 		leader:     leader,
 		conn:       conn,
 		engine:     engine,
-		silence:    opts.SilenceTimeout,
+		watch:      watch,
 		view:       map[string]bool{user: true},
 		events:     queue.New[Event](),
 		done:       make(chan struct{}),
 		outQ:       queue.New[wire.Envelope](),
 		writerDone: make(chan struct{}),
 	}
-	m.lastRecv.Store(time.Now().UnixNano())
-	go m.recvLoop()
-	go m.writeLoop()
-	if m.silence > 0 {
-		go m.silenceWatchdog()
-	}
-	return m, nil
 }
 
-// silenceWatchdog closes the connection when the leader has been silent
-// past the configured timeout, so the receive loop fails distinguishably
-// (ErrLeaderSilent) and a supervisor can rejoin elsewhere. This is the
-// member-side half of the liveness layer: the leader detects dead members
-// via ack deadlines, the member detects a dead leader via silence.
-func (m *Member) silenceWatchdog() {
-	tick := m.silence / 4
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.done:
-			return
-		case <-t.C:
-			last := time.Unix(0, m.lastRecv.Load())
-			if time.Since(last) > m.silence {
-				m.silenced.Store(true)
-				mWatchdogTrips.Inc()
-				m.conn.Close()
-				return
-			}
-		}
-	}
+// start restarts the silence budget for the established session and runs
+// the receive and write loops. The leader detects dead members via ack
+// deadlines; the member detects a dead leader via silence.
+func (m *Member) start() {
+	m.watch.Touch()
+	go m.recvLoop()
+	go m.writeLoop()
 }
 
 // Name returns this member's identity.
@@ -458,20 +433,22 @@ func (m *Member) recvLoop() {
 	for {
 		env, err := m.conn.Recv()
 		if err != nil {
+			m.watch.Stop()
 			m.mu.Lock()
 			left := m.left
 			m.mu.Unlock()
 			if left {
 				err = nil
-			} else if m.silenced.Load() {
+			} else if m.watch.Fired() {
 				err = ErrLeaderSilent
+				mWatchdogTrips.Inc()
 			}
 			m.events.Push(Event{Kind: EventClosed, Err: err})
 			m.events.Close()
 			m.outQ.Close() // no conn to write to; release the writer
 			return
 		}
-		m.lastRecv.Store(time.Now().UnixNano())
+		m.watch.Touch()
 		m.handle(env)
 	}
 }
@@ -536,7 +513,7 @@ func (m *Member) handleAdmin(env wire.Envelope) {
 		out = Event{Kind: EventJoined, Name: m.name} // our own join completed
 	case wire.Heartbeat:
 		// Liveness probe: the ack sent below is the whole point; no
-		// application event. Receipt already refreshed the silence watchdog.
+		// application event. Receipt already touched the silence watch.
 	}
 	if ev.Reply != nil {
 		m.lastAdminPayload = append(m.lastAdminPayload[:0], env.Payload...)

@@ -5,7 +5,8 @@ import "enclaves/internal/metrics"
 // Member-side instruments, totals across every Member/Session in the
 // process. mRejected mirrors the per-member Rejected() counter into the
 // global snapshot; the rest cover the liveness machinery: watchdog trips
-// (leader declared silent), re-acks (duplicate AdminMsg answered from the
+// (an established session's leader declared silent; a handshake that runs
+// out of budget is not one), re-acks (duplicate AdminMsg answered from the
 // ack cache), and rejoin attempts by the auto-rejoin supervisor.
 var (
 	mEvents        = metrics.NewCounter("member_events_total")

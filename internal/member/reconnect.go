@@ -52,7 +52,7 @@ type SessionConfig struct {
 	// join; zero means 10s.
 	ReadyTimeout time.Duration
 	// SilenceTimeout arms each underlying session's leader-silence
-	// watchdog (Options.SilenceTimeout): a wedged or partitioned leader is
+	// watch (Options.SilenceTimeout): a wedged or partitioned leader is
 	// detected without waiting for a transport error, and the session
 	// fails over to the next endpoint automatically. Zero disables it.
 	SilenceTimeout time.Duration

@@ -2,11 +2,9 @@ package member
 
 import (
 	"fmt"
-	"time"
 
 	"enclaves/internal/core"
 	"enclaves/internal/crypto"
-	"enclaves/internal/queue"
 	"enclaves/internal/transport"
 	"enclaves/internal/wire"
 )
@@ -32,7 +30,7 @@ func (m *Member) ResumeState() (core.SessionState, bool) {
 // last chained nonce. The ResumeAck delivers the current (post-promotion)
 // group key, so the returned Member is immediately ready — no WaitReady
 // window, and no pre-promotion key ever held.
-func Resume(conn transport.Conn, st core.SessionState, longTerm crypto.Key, opts Options) (*Member, error) {
+func Resume(conn transport.Conn, st core.SessionState, longTerm crypto.Key, opts Options) (m *Member, err error) {
 	engine, err := core.ResumeMemberSession(st.User, st.Leader, longTerm, st)
 	if err != nil {
 		return nil, err
@@ -43,19 +41,12 @@ func Resume(conn transport.Conn, st core.SessionState, longTerm crypto.Key, opts
 	}
 	// Bound the resumption exchange like JoinOpts bounds the join: a lost
 	// frame must fail the attempt so the supervisor can fall back.
-	hsDone := make(chan struct{})
-	defer close(hsDone)
-	if opts.SilenceTimeout > 0 {
-		go func() {
-			t := time.NewTimer(opts.SilenceTimeout)
-			defer t.Stop()
-			select {
-			case <-hsDone:
-			case <-t.C:
-				conn.Close()
-			}
-		}()
-	}
+	watch := transport.NewSilence(opts.SilenceTimeout, func() { conn.Close() })
+	defer func() {
+		if err != nil {
+			watch.Stop()
+		}
+	}()
 	if err := conn.Send(resumeEnv); err != nil {
 		return nil, fmt.Errorf("member: send resume: %w", err)
 	}
@@ -93,18 +84,7 @@ func Resume(conn transport.Conn, st core.SessionState, longTerm crypto.Key, opts
 		ackedBytes = env.Payload
 	}
 
-	m := &Member{
-		name:       st.User,
-		leader:     st.Leader,
-		conn:       conn,
-		engine:     engine,
-		silence:    opts.SilenceTimeout,
-		view:       map[string]bool{st.User: true},
-		events:     queue.New[Event](),
-		done:       make(chan struct{}),
-		outQ:       queue.New[wire.Envelope](),
-		writerDone: make(chan struct{}),
-	}
+	m = newMember(conn, engine, st.User, st.Leader, watch)
 	switch body := keyBody.(type) {
 	case wire.NewGroupKey:
 		m.groupKey = body.Key
@@ -127,7 +107,6 @@ func Resume(conn transport.Conn, st core.SessionState, longTerm crypto.Key, opts
 		conn.Close()
 		return nil, fmt.Errorf("member: resume ack carried no group key")
 	}
-	m.lastRecv.Store(time.Now().UnixNano())
 	// Seed the re-ack cache with the ResumeAck itself: if our ack below is
 	// lost, the leader retransmits the ResumeAck and the cache answers it,
 	// exactly as for an ordinary AdminMsg (see handleAdmin).
@@ -147,11 +126,7 @@ func Resume(conn transport.Conn, st core.SessionState, longTerm crypto.Key, opts
 		}
 	}
 	mResumed.Inc()
-	go m.recvLoop()
-	go m.writeLoop()
-	if m.silence > 0 {
-		go m.silenceWatchdog()
-	}
+	m.start()
 	// Surface the post-promotion key to the application as the usual rekey
 	// event, correlated with the leader's pipeline sequence.
 	m.events.Push(Event{Kind: EventRekey, Epoch: m.epoch, Seq: keySeq})

@@ -23,12 +23,12 @@ type StandbyConfig struct {
 	Key crypto.Key
 	// Dial opens a connection to the primary's listener.
 	Dial func() (transport.Conn, error)
-	// Silence is how long the replication stream may be quiet before the
-	// primary is declared dead. The sender's ping deltas keep a healthy
-	// stream well under it.
+	// Silence is how long the replication stream may go without an applied
+	// snapshot or delta before the primary is declared dead. The sender's
+	// ping deltas keep a healthy stream well under it. Re-subscription
+	// attempts after a broken stream are paced at Silence/20, at least
+	// 10ms.
 	Silence time.Duration
-	// Redial paces re-subscription attempts after a broken stream.
-	Redial time.Duration
 	// Logf, if non-nil, receives diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -37,7 +37,9 @@ type StandbyConfig struct {
 // channel until the primary goes silent, then exposes the replica for
 // promotion. Dead detection is time-since-last-authenticated-frame: chain
 // breaks and connection failures trigger re-subscription (fresh snapshot),
-// not failover — only sustained silence does.
+// not failover — only sustained silence does. One silence watch spans the
+// Standby's lifetime, across re-subscriptions, so redials cannot keep a
+// dead primary alive.
 type Standby struct {
 	cfg StandbyConfig
 
@@ -45,7 +47,7 @@ type Standby struct {
 	state State
 	seen  bool // at least one snapshot applied
 
-	lastOK  time.Time
+	watch   *transport.Silence // touched by every applied snapshot and delta
 	stopped chan struct{}
 	dead    chan struct{}
 	once    sync.Once
@@ -68,19 +70,13 @@ func NewStandby(cfg StandbyConfig) (*Standby, error) {
 	if cfg.Silence <= 0 {
 		cfg.Silence = 2 * time.Second
 	}
-	if cfg.Redial <= 0 {
-		cfg.Redial = cfg.Silence / 20
-		if cfg.Redial <= 0 {
-			cfg.Redial = 10 * time.Millisecond
-		}
-	}
 	s := &Standby{
 		cfg:     cfg,
 		state:   State{Primary: cfg.Primary, Members: make(map[string]Session)},
-		lastOK:  time.Now(),
 		stopped: make(chan struct{}),
 		dead:    make(chan struct{}),
 	}
+	s.watch = transport.NewSilence(cfg.Silence, s.silent)
 	go s.run()
 	return s, nil
 }
@@ -106,11 +102,26 @@ func (s *Standby) State() State {
 // Stop halts replication without declaring the primary dead.
 func (s *Standby) Stop() {
 	s.stopFn.Do(func() { close(s.stopped) })
+	s.watch.Stop()
+	s.closeConn()
+}
+
+// silent is the watch's expiry: the whole budget passed without an applied
+// snapshot or delta.
+func (s *Standby) silent() {
+	s.declareDead()
+	s.closeConn()
+}
+
+// closeConn unblocks the current subscription's Recv. subscribeOnce checks
+// stopping() after installing a conn, so one dialled after this is closed
+// there.
+func (s *Standby) closeConn() {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.conn != nil {
 		_ = s.conn.Close()
 	}
-	s.mu.Unlock()
 }
 
 func (s *Standby) logf(format string, args ...any) {
@@ -139,8 +150,7 @@ func (s *Standby) stopping() bool {
 }
 
 // run subscribes, applies the stream, and re-subscribes on any break, until
-// stopped or the silence budget since the last authenticated frame runs
-// out.
+// stopped or the silence watch declares the primary dead.
 func (s *Standby) run() {
 	cipher, err := crypto.NewCipher(s.cfg.Key)
 	if err != nil {
@@ -155,27 +165,21 @@ func (s *Standby) run() {
 		if s.stopping() {
 			return
 		}
-		s.mu.Lock()
-		silentFor := time.Since(s.lastOK)
-		s.mu.Unlock()
-		if silentFor >= s.cfg.Silence {
-			s.declareDead()
-			return
-		}
 		mResubscribes.Inc()
 		select {
-		case <-time.After(s.cfg.Redial):
+		case <-time.After(max(s.cfg.Silence/20, 10*time.Millisecond)):
 		case <-s.stopped:
+			return
+		case <-s.dead:
 			return
 		}
 	}
 }
 
 // subscribeOnce dials, sends the hello, and applies the snapshot + delta
-// stream until it breaks. A frame watchdog closes the connection when the
-// stream has been silent past the remaining silence budget, bounding
-// detection latency even when the connection never errors (a severed
-// link).
+// stream until it breaks. The silence watch closes the connection when the
+// budget runs out, bounding detection latency even when the connection
+// never errors (a severed link).
 func (s *Standby) subscribeOnce(cipher *crypto.Cipher) error {
 	conn, err := s.cfg.Dial()
 	if err != nil {
@@ -185,34 +189,9 @@ func (s *Standby) subscribeOnce(cipher *crypto.Cipher) error {
 	s.conn = conn
 	s.mu.Unlock()
 	defer conn.Close()
-
-	// Watchdog: wake periodically; if the silence budget is exhausted, kill
-	// the connection so the Recv below unblocks.
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		tick := s.cfg.Silence / 10
-		if tick <= 0 {
-			tick = 10 * time.Millisecond
-		}
-		for {
-			select {
-			case <-watchDone:
-				return
-			case <-s.stopped:
-				_ = conn.Close()
-				return
-			case <-time.After(tick):
-				s.mu.Lock()
-				silent := time.Since(s.lastOK)
-				s.mu.Unlock()
-				if silent >= s.cfg.Silence {
-					_ = conn.Close()
-					return
-				}
-			}
-		}
-	}()
+	if s.stopping() {
+		return errors.New("stopped")
+	}
 
 	n0, err := crypto.NewNonce()
 	if err != nil {
@@ -275,8 +254,8 @@ func (s *Standby) subscribeOnce(cipher *crypto.Cipher) error {
 	s.mu.Lock()
 	s.state = st
 	s.seen = true
-	s.lastOK = time.Now()
 	s.mu.Unlock()
+	s.watch.Touch()
 	s.logf("snapshot applied: %d members, epoch %d, audit seq %d", len(st.Members), st.Epoch, st.AuditSeq)
 
 	// Delta stream: each frame must extend the chain.
@@ -319,8 +298,8 @@ func (s *Standby) subscribeOnce(cipher *crypto.Cipher) error {
 			Removed:  d.Removed,
 			Pending:  d.Pending,
 		})
-		s.lastOK = time.Now()
 		s.mu.Unlock()
+		s.watch.Touch()
 		mDeltasRecv.Inc()
 	}
 }
